@@ -1,7 +1,7 @@
 //! The BDD manager: node arena, hash-consing unique table, variable
 //! allocation, and mark-and-sweep garbage collection.
 
-use crate::hash::FxHashMap;
+use crate::hash::{FxHashMap, FxHashSet};
 use stsyn_obs::{Json, TraceLevel, Tracer};
 
 /// A BDD variable, identified by its *level* (position in the global
@@ -85,7 +85,9 @@ pub struct ManagerStats {
     /// Number of boolean variables created.
     pub num_vars: usize,
     /// Memoization-cache probes across all operation caches (apply/ITE/
-    /// not/exists/and-exists/rename).
+    /// not/exists/and-exists/rename) and the predicate memos (disjoint
+    /// pairs for `intersects`, disjoint triples for `and_intersects`,
+    /// valid pairs for `implies_holds`).
     pub cache_lookups: u64,
     /// Probes that hit (the paper's workloads live or die by this rate).
     pub cache_hits: u64,
@@ -135,6 +137,14 @@ pub struct Manager {
     pub(crate) exists_cache: FxHashMap<(u32, u32), u32>,
     pub(crate) and_exists_cache: FxHashMap<(u32, u32, u32), u32>,
     pub(crate) rename_cache: FxHashMap<(u32, u32), u32>,
+    // Predicate memos hold negative answers only (cleared with the caches
+    // above: GC recycles slots, so a stale entry would answer wrongly).
+    /// Pairs `(f, g)`, `f < g`, with `f ∧ g = ∅`.
+    pub(crate) disjoint_memo: FxHashSet<(u32, u32)>,
+    /// Sorted triples `(f, g, h)` with `f ∧ g ∧ h = ∅`.
+    pub(crate) disjoint3_memo: FxHashSet<(u32, u32, u32)>,
+    /// Pairs `(f, g)` with `f ⇒ g` valid.
+    pub(crate) implies_memo: FxHashSet<(u32, u32)>,
 
     // Interned variable sets / rename maps (survive GC).
     pub(crate) varsets: Vec<Vec<u32>>,
@@ -182,6 +192,9 @@ impl Manager {
             exists_cache: FxHashMap::default(),
             and_exists_cache: FxHashMap::default(),
             rename_cache: FxHashMap::default(),
+            disjoint_memo: FxHashSet::default(),
+            disjoint3_memo: FxHashSet::default(),
+            implies_memo: FxHashSet::default(),
             varsets: Vec::new(),
             varset_ids: FxHashMap::default(),
             renames: Vec::new(),
@@ -436,12 +449,7 @@ impl Manager {
                 self.free.push(idx as u32);
             }
         }
-        self.bin_cache.clear();
-        self.not_cache.clear();
-        self.ite_cache.clear();
-        self.exists_cache.clear();
-        self.and_exists_cache.clear();
-        self.rename_cache.clear();
+        self.clear_op_caches();
         self.gc_runs += 1;
         if self.tracer.level_enabled(TraceLevel::Info) {
             self.tracer.info(

@@ -1,5 +1,7 @@
-//! Memoized boolean connectives: `not`, `and`, `or`, `xor`, `ite`, and the
-//! derived operations (`implies`, `iff`, `diff`) the synthesizer uses.
+//! Memoized boolean connectives: `not`, `and`, `or`, `xor`, `ite`, the
+//! derived operations (`implies`, `iff`, `diff`) the synthesizer uses, and
+//! the non-constructive predicates (`intersects`, `and_intersects`,
+//! `implies_holds`) that answer yes/no questions without building nodes.
 //!
 //! Every operation comes in two flavours: a fallible `try_*` variant that
 //! charges the installed [`crate::Budget`] one tick per recursive step and
@@ -193,27 +195,116 @@ impl Manager {
     }
 
     /// Does `f ⇒ g` hold for all assignments? (Set inclusion when BDDs
-    /// denote sets.) Computed without materializing the implication.
+    /// denote sets.) See [`Manager::try_implies_holds`].
     pub fn implies_holds(&mut self, f: Bdd, g: Bdd) -> bool {
         expect_budget(self.try_implies_holds(f, g))
     }
 
-    /// Fallible set-inclusion test.
+    /// Fallible set-inclusion test. Decided by an early-exit walk over the
+    /// top variable that allocates no nodes: it stops at the first
+    /// assignment satisfying `f ∧ ¬g`, and memoizes only the pairs for
+    /// which inclusion holds.
     #[must_use = "a budget violation is reported through the Result"]
     pub fn try_implies_holds(&mut self, f: Bdd, g: Bdd) -> Result<bool, BddError> {
-        Ok(self.try_diff(f, g)?.is_false())
+        self.tick()?;
+        if f.is_false() || g.is_true() || f == g {
+            return Ok(true);
+        }
+        if f.is_true() || g.is_false() {
+            return Ok(false);
+        }
+        self.cache_lookups += 1;
+        if self.implies_memo.contains(&(f.0, g.0)) {
+            self.cache_hits += 1;
+            return Ok(true);
+        }
+        let top = self.level(f).min(self.level(g));
+        let (f0, f1) = self.cofactors_at(f, top);
+        let (g0, g1) = self.cofactors_at(g, top);
+        if !self.try_implies_holds(f0, g0)? || !self.try_implies_holds(f1, g1)? {
+            return Ok(false);
+        }
+        self.implies_memo.insert((f.0, g.0));
+        Ok(true)
     }
 
     /// Do `f` and `g` share a satisfying assignment? (Set intersection
-    /// non-emptiness.)
+    /// non-emptiness.) See [`Manager::try_intersects`].
     pub fn intersects(&mut self, f: Bdd, g: Bdd) -> bool {
         expect_budget(self.try_intersects(f, g))
     }
 
-    /// Fallible intersection-non-emptiness test.
+    /// Fallible intersection-non-emptiness test. Decided without building
+    /// `f ∧ g`: an early-exit walk over the top variable returns at the
+    /// first common satisfying assignment, and memoizes only the pairs
+    /// found disjoint.
     #[must_use = "a budget violation is reported through the Result"]
-    pub fn try_intersects(&mut self, f: Bdd, g: Bdd) -> Result<bool, BddError> {
-        Ok(!self.try_and(f, g)?.is_false())
+    pub fn try_intersects(&mut self, mut f: Bdd, mut g: Bdd) -> Result<bool, BddError> {
+        self.tick()?;
+        if f.is_false() || g.is_false() {
+            return Ok(false);
+        }
+        if f.is_true() || g.is_true() || f == g {
+            return Ok(true);
+        }
+        if f.0 > g.0 {
+            std::mem::swap(&mut f, &mut g);
+        }
+        self.cache_lookups += 1;
+        if self.disjoint_memo.contains(&(f.0, g.0)) {
+            self.cache_hits += 1;
+            return Ok(false);
+        }
+        let top = self.level(f).min(self.level(g));
+        let (f0, f1) = self.cofactors_at(f, top);
+        let (g0, g1) = self.cofactors_at(g, top);
+        if self.try_intersects(f0, g0)? || self.try_intersects(f1, g1)? {
+            return Ok(true);
+        }
+        self.disjoint_memo.insert((f.0, g.0));
+        Ok(false)
+    }
+
+    /// Is `f ∧ g ∧ h` satisfiable? See [`Manager::try_and_intersects`].
+    pub fn and_intersects(&mut self, f: Bdd, g: Bdd, h: Bdd) -> bool {
+        expect_budget(self.try_and_intersects(f, g, h))
+    }
+
+    /// Fallible three-way intersection test: the [`Manager::try_intersects`]
+    /// walk over three operands, so neither pairwise conjunction is ever
+    /// built. Falls back to the two-way test once an operand is terminal or
+    /// two operands coincide.
+    #[must_use = "a budget violation is reported through the Result"]
+    pub fn try_and_intersects(&mut self, f: Bdd, g: Bdd, h: Bdd) -> Result<bool, BddError> {
+        let mut k = [f, g, h];
+        k.sort_unstable();
+        let [a, b, c] = k;
+        // Terminals sort first: FALSE is index 0 and TRUE index 1.
+        if a.is_false() {
+            self.tick()?;
+            return Ok(false);
+        }
+        if a.is_true() || a == b {
+            return self.try_intersects(b, c);
+        }
+        if b == c {
+            return self.try_intersects(a, b);
+        }
+        self.tick()?;
+        self.cache_lookups += 1;
+        if self.disjoint3_memo.contains(&(a.0, b.0, c.0)) {
+            self.cache_hits += 1;
+            return Ok(false);
+        }
+        let top = self.level(a).min(self.level(b)).min(self.level(c));
+        let (a0, a1) = self.cofactors_at(a, top);
+        let (b0, b1) = self.cofactors_at(b, top);
+        let (c0, c1) = self.cofactors_at(c, top);
+        if self.try_and_intersects(a0, b0, c0)? || self.try_and_intersects(a1, b1, c1)? {
+            return Ok(true);
+        }
+        self.disjoint3_memo.insert((a.0, b.0, c.0));
+        Ok(false)
     }
 
     /// Both cofactors of `f` with respect to the variable at `level`

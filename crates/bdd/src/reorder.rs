@@ -342,6 +342,9 @@ impl Manager {
         self.exists_cache.clear();
         self.and_exists_cache.clear();
         self.rename_cache.clear();
+        self.disjoint_memo.clear();
+        self.disjoint3_memo.clear();
+        self.implies_memo.clear();
     }
 
     /// The current variable order, top to bottom (for diagnostics).

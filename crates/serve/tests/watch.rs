@@ -3,7 +3,9 @@
 //! through the router across a shard SIGKILL, and a seeded chaos sweep
 //! cutting watch streams mid-flight without disturbing the job.
 
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+use stsyn_obs::{TraceLevel, TraceSink, Tracer};
 use stsyn_serve::{
     ChaosProxy, Client, FaultPlan, JobSource, Json, RetryPolicy, Server, ServerConfig,
     ShutdownMode, SubmitSpec, WatchFrame,
@@ -178,19 +180,63 @@ fn watch_streams_every_rank_layer_then_terminal_status() {
     handle.join();
 }
 
+/// Trace sink that parks whichever thread opens a `phase.setup` span
+/// until the test opens the gate: with one worker, the first job holds
+/// the worker for exactly as long as the test wants, however fast
+/// synthesis is.
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Gate {
+    fn release(&self) {
+        *self.open.lock().unwrap() = true;
+        self.cv.notify_all();
+    }
+}
+
+struct GateSink(Arc<Gate>);
+
+impl TraceSink for GateSink {
+    fn write_line(&self, line: &str) {
+        if line.contains("\"phase.setup\"") {
+            let mut open = self.0.open.lock().unwrap();
+            while !*open {
+                open = self.0.cv.wait(open).unwrap();
+            }
+        }
+    }
+}
+
+/// Opens the gate when dropped, so a failing assertion cannot leave the
+/// worker parked and the drain shutdown hung.
+struct ReleaseOnDrop(Arc<Gate>);
+
+impl Drop for ReleaseOnDrop {
+    fn drop(&mut self) {
+        self.0.release();
+    }
+}
+
 /// A watch with *nothing to say* — the job is parked in the queue behind
-/// a long blocker — must survive well past the socket deadline on
-/// heartbeats alone. The client uses a no-retry policy with a read
-/// timeout shorter than the blocker's runtime, so if heartbeats stopped
-/// the watch would fail instead of completing.
+/// a blocker held on a gate — must survive well past the socket deadline
+/// on heartbeats alone. The client uses a no-retry policy with a 500-ms
+/// read timeout, and the gate opens only after six ~100-ms heartbeats, so
+/// if heartbeats stopped the watch would fail instead of completing.
 #[test]
 fn heartbeats_keep_a_quiet_watch_alive_past_io_timeout() {
+    const RELEASE_AFTER: usize = 6;
     let dir = tempdir::TempDir::new("heartbeat");
+    let gate = Arc::new(Gate::default());
     let mut cfg = ServerConfig::new(&dir.path);
     cfg.workers = 1;
+    cfg.tracer = Tracer::with_sink(Box::new(GateSink(Arc::clone(&gate))), TraceLevel::Info);
     // Tight daemon deadline: heartbeats fire every ~100 ms.
     cfg.io_timeout = Duration::from_millis(200);
     let (handle, addr) = start(cfg);
+    let _release = ReleaseOnDrop(Arc::clone(&gate));
 
     let policy = RetryPolicy {
         max_retries: 0,
@@ -200,20 +246,29 @@ fn heartbeats_keep_a_quiet_watch_alive_past_io_timeout() {
         seed: Some(11),
     };
     let mut client = Client::connect_with(addr, policy).unwrap();
-    let blocker = client.submit(&case("coloring", 12)).unwrap();
+    let blocker = client.submit(&case("coloring", 5)).unwrap();
     poll_state(&mut client, blocker, "running", WAIT);
     let id = client.submit(&case("token_ring", 3)).unwrap();
 
-    let mut got = Collected::default();
-    let status = client.watch(id, got.sink()).unwrap();
+    let mut queued = 0usize;
+    let mut terminal_last = false;
+    let status = client
+        .watch(id, |frame| {
+            terminal_last = matches!(frame, WatchFrame::Status(_));
+            if let WatchFrame::Heartbeat { state } = frame {
+                if state == "queued" {
+                    queued += 1;
+                    if queued == RELEASE_AFTER {
+                        gate.release();
+                    }
+                }
+            }
+        })
+        .unwrap();
 
     assert_eq!(status.get("state").and_then(Json::as_str), Some("done"), "status: {status}");
-    assert!(got.terminal_last);
-    assert!(
-        got.heartbeats.iter().filter(|s| s.as_str() == "queued").count() >= 2,
-        "expected queued-state heartbeats while parked behind the blocker, saw {:?}",
-        got.heartbeats
-    );
+    assert!(terminal_last);
+    assert!(queued >= RELEASE_AFTER, "saw {queued} queued-state heartbeats");
 
     handle.shutdown(ShutdownMode::Drain);
     handle.join();

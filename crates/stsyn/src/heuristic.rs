@@ -208,7 +208,8 @@ struct Engine {
     pss: Bdd,
     /// `pss | ¬I` — maintained incrementally.
     pss_restricted: Bdd,
-    /// States with at least one outgoing `pss` transition.
+    /// States of `S_p` with at least one outgoing `pss` transition (it may
+    /// differ from `∃s′. pss` on encodings outside `S_p`).
     enabled_union: Bdd,
     /// The rank predicates, kept as GC roots.
     rank_bdds: Vec<Bdd>,
@@ -253,21 +254,33 @@ impl Engine {
         self.ctx.gc(&roots);
     }
 
-    /// Commit candidate `ci`: extend the synthesized relation, its `¬I`
-    /// restriction and the enabled-state union, and append the group
-    /// descriptor. The **only** way a group enters the result — shared by
-    /// the live path and journal replay so both perform the identical
-    /// symbolic updates.
-    fn include_candidate(&mut self, ci: usize) -> Result<(), BddError> {
-        let rel = self.cands.all[ci].relation;
-        self.pss = self.ctx.mgr().try_or(self.pss, rel)?;
-        let rel_restricted = self.ctx.try_restrict_relation(rel, self.not_i)?;
-        self.pss_restricted = self.ctx.mgr().try_or(self.pss_restricted, rel_restricted)?;
-        let src = self.cands.all[ci].source;
-        self.enabled_union = self.ctx.mgr().try_or(self.enabled_union, src)?;
-        self.cands.all[ci].included = true;
-        self.added.push(self.cands.all[ci].desc.clone());
-        self.stats.groups_added += 1;
+    /// Commit candidates `cis` in one batch: extend the synthesized
+    /// relation by `⋁rel`, the enabled-state union by `⋁src` and the `¬I`
+    /// restriction by `restrict(⋁rel, ¬I)`, then append the descriptors in
+    /// order. The **only** way groups enter the result — shared by the live
+    /// path and journal replay so both perform the identical symbolic
+    /// updates. Descriptors are appended only after every BDD update
+    /// succeeded, so a budget abort never reports a half-committed group.
+    fn commit_groups(&mut self, cis: &[usize]) -> Result<(), BddError> {
+        if cis.is_empty() {
+            return Ok(());
+        }
+        let mut src_union = Bdd::FALSE;
+        let mut rel_union = Bdd::FALSE;
+        for &ci in cis {
+            src_union = self.ctx.mgr().try_or(src_union, self.cands.all[ci].source)?;
+            rel_union = self.ctx.mgr().try_or(rel_union, self.cands.all[ci].relation)?;
+        }
+        let rel_restricted = self.ctx.try_restrict_relation(rel_union, self.not_i)?;
+        let pss_restricted = self.ctx.mgr().try_or(self.pss_restricted, rel_restricted)?;
+        self.pss = self.ctx.mgr().try_or(self.pss, rel_union)?;
+        self.enabled_union = self.ctx.mgr().try_or(self.enabled_union, src_union)?;
+        self.pss_restricted = pss_restricted;
+        for &ci in cis {
+            self.cands.all[ci].included = true;
+            self.added.push(self.cands.all[ci].desc.clone());
+        }
+        self.stats.groups_added += cis.len();
         Ok(())
     }
 
@@ -278,21 +291,19 @@ impl Engine {
         if groups.is_empty() {
             return Ok(());
         }
-        if self.cand_index.is_none() {
-            self.cand_index = Some(crate::symmetry::candidate_index(&self.cands));
-        }
+        let index =
+            self.cand_index.get_or_insert_with(|| crate::symmetry::candidate_index(&self.cands));
+        let mut cis = Vec::with_capacity(groups.len());
         for desc in groups {
-            let ci = match self.cand_index.as_ref().expect("built above").get(desc) {
-                Some(&ci) => ci,
+            match index.get(desc) {
+                Some(&ci) if !cis.contains(&ci) && !self.cands.all[ci].included => cis.push(ci),
+                Some(_) => {}
                 // The journal names a group this problem does not have:
                 // it belongs to a different run (fingerprint collision).
                 None => return Err(StepError::Ckpt(CheckpointError::Mismatch)),
-            };
-            if self.cands.all[ci].included {
-                continue;
             }
-            self.include_candidate(ci)?;
         }
+        self.commit_groups(&cis)?;
         Ok(())
     }
 
@@ -313,9 +324,10 @@ impl Engine {
         //     src ∧ From ∧ To[writes ← post]  ≠  ∅,
         // because the target state agrees with the source everywhere else.
         // The cofactor To[writes ← post] is shared by every group with the
-        // same `post`, so the per-candidate work is one cube intersection —
-        // no primed-variable products ever get built. The same trick
-        // serves the pass-1 C4 test (`no groupmate reaches a deadlock` ⟺
+        // same `post`, so the per-candidate work is one three-way
+        // satisfiability walk — neither a primed-variable product nor the
+        // conjunction itself ever gets built. The same trick serves the
+        // pass-1 C4 test (`no groupmate reaches a deadlock` ⟺
         // src ∧ Dead[writes ← post] ≠ ∅).
         let writes = self.ctx.protocol().processes()[j].writes.clone();
         let mut by_post: std::collections::HashMap<Vec<u32>, (Bdd, Option<Bdd>)> =
@@ -332,7 +344,7 @@ impl Engine {
                 continue;
             }
             let post = self.cands.all[ci].desc.post.clone();
-            let (from_to, dead_cof) = match by_post.get(&post) {
+            let (to_cof, dead_cof) = match by_post.get(&post) {
                 Some(&pair) => pair,
                 None => {
                     let mut lits = Vec::new();
@@ -341,17 +353,16 @@ impl Engine {
                     }
                     lits.sort_unstable_by_key(|&(v, _)| v);
                     let to_cof = self.ctx.mgr().try_cofactor(to, &lits)?;
-                    let from_to = self.ctx.mgr().try_and(from, to_cof)?;
                     let dead_cof = match ruled_out_deadlocks {
                         Some(d) => Some(self.ctx.mgr().try_cofactor(d, &lits)?),
                         None => None,
                     };
-                    by_post.insert(post.clone(), (from_to, dead_cof));
-                    (from_to, dead_cof)
+                    by_post.insert(post.clone(), (to_cof, dead_cof));
+                    (to_cof, dead_cof)
                 }
             };
             // Must have a transition From → To.
-            if !self.ctx.mgr().try_intersects(src, from_to)? {
+            if !self.ctx.mgr().try_and_intersects(src, from, to_cof)? {
                 continue;
             }
             // Pass-1 constraint C4: no groupmate may reach a deadlock.
@@ -420,32 +431,34 @@ impl Engine {
         }
         // badTrans: added groups with a transition inside some SCC; a
         // whole cluster is dropped if any member participates in a cycle.
+        // The survivors are then committed in one batch.
         let include_start = Instant::now();
+        let sccs_primed = try_prime_all(&mut self.ctx, &sccs)?;
         let tried = clusters.len();
         let mut kept = 0usize;
-        let mut changed = false;
-        'cluster: for cluster in clusters {
+        let mut survivors: Vec<usize> = Vec::new();
+        for cluster in clusters {
+            let mut cyclic = false;
             for &ci in &cluster {
                 let rel = self.cands.all[ci].relation;
-                for &scc in &sccs {
-                    let m = self.ctx.cur_to_primed();
-                    let scc_primed = self.ctx.mgr().try_rename(scc, m)?;
-                    let inside = self.ctx.mgr().try_and(rel, scc)?;
-                    if self.ctx.mgr().try_intersects(inside, scc_primed)? {
-                        continue 'cluster; // participates in a cycle: drop it
-                    }
+                if try_inside_some_scc(&mut self.ctx, rel, &sccs, &sccs_primed)? {
+                    cyclic = true; // participates in a cycle: drop the cluster
+                    break;
                 }
             }
-            for ci in cluster {
-                self.include_candidate(ci)?;
-                if let Some(c) = ckpt.as_deref_mut() {
-                    let desc = self.added.last().expect("just pushed").clone();
-                    c.record_group(key.0, key.1, key.2, &desc).map_err(StepError::Ckpt)?;
-                }
+            if !cyclic {
+                survivors.extend(cluster);
+                kept += 1;
             }
-            changed = true;
-            kept += 1;
         }
+        self.commit_groups(&survivors)?;
+        if let Some(c) = ckpt.as_deref_mut() {
+            for &ci in &survivors {
+                let desc = &self.cands.all[ci].desc;
+                c.record_group(key.0, key.1, key.2, desc).map_err(StepError::Ckpt)?;
+            }
+        }
+        let changed = kept > 0;
         self.stats.include_time += include_start.elapsed();
         if self.ctx.mgr_ref().tracer().level_enabled(TraceLevel::Debug) {
             self.ctx.mgr_ref().tracer().debug(
@@ -461,6 +474,25 @@ impl Engine {
             );
         }
         Ok(changed)
+    }
+
+    /// Test builds only: after every schedule step the incrementally
+    /// maintained predicates must equal their from-scratch definitions,
+    /// whichever commit path (live batch, partial batch, replay) ran.
+    #[cfg(test)]
+    fn check_incremental_state(&mut self) -> Result<(), BddError> {
+        let restricted = self.ctx.try_restrict_relation(self.pss, self.not_i)?;
+        assert_eq!(self.pss_restricted, restricted, "pss_restricted != restrict(pss, ¬I)");
+        // Group sources are cubes inside the state space `S_p`, while
+        // `∃s′. pss` may also hold on encodings outside it; only the part
+        // inside `S_p` feeds the deadlock set.
+        let s_p = self.ctx.all_states();
+        let enabled = self.ctx.try_enabled(self.pss)?;
+        let enabled = self.ctx.mgr().try_and(enabled, s_p)?;
+        let union = self.ctx.mgr().try_and(self.enabled_union, s_p)?;
+        assert_eq!(union, enabled, "enabled_union != enabled(pss) within S_p");
+        tests::STEPS_CHECKED.with(|c| c.set(c.get() + 1));
+        Ok(())
     }
 
     /// `Add_Convergence` (Fig. 3): walk the recovery schedule, letting each
@@ -518,6 +550,8 @@ impl Engine {
                     live
                 }
             };
+            #[cfg(test)]
+            self.check_incremental_state()?;
             if changed {
                 let dl_start = Instant::now();
                 deadlocks = self.deadlocks()?;
@@ -532,6 +566,30 @@ impl Engine {
         }
         Ok(deadlocks)
     }
+}
+
+/// Each SCC renamed onto the primed variables, computed once per
+/// decomposition for [`try_inside_some_scc`].
+fn try_prime_all(ctx: &mut SymbolicContext, sccs: &[Bdd]) -> Result<Vec<Bdd>, BddError> {
+    let m = ctx.cur_to_primed();
+    sccs.iter().map(|&scc| ctx.mgr().try_rename(scc, m)).collect()
+}
+
+/// Does `rel` have a transition with both endpoints in one SCC, i.e. is
+/// `rel ∧ scc ∧ scc′` satisfiable for some SCC? `sccs_primed` comes from
+/// [`try_prime_all`].
+fn try_inside_some_scc(
+    ctx: &mut SymbolicContext,
+    rel: Bdd,
+    sccs: &[Bdd],
+    sccs_primed: &[Bdd],
+) -> Result<bool, BddError> {
+    for (&scc, &scc_primed) in sccs.iter().zip(sccs_primed) {
+        if ctx.mgr().try_and_intersects(rel, scc, scc_primed)? {
+            return Ok(true);
+        }
+    }
+    Ok(false)
 }
 
 /// Run the full heuristic for one schedule. This is the engine behind
@@ -600,21 +658,12 @@ pub(crate) fn synthesize_checkpointed(
     let restricted_p = setup!(ctx.try_restrict_relation(delta_p, not_i));
     if setup!(try_has_cycle(&mut ctx, restricted_p, not_i)) {
         let sccs = setup!(try_scc_decomposition(&mut ctx, restricted_p, not_i, opts.scc));
+        let sccs_primed = setup!(try_prime_all(&mut ctx, &sccs));
         let p_groups = groups_of_protocol(protocol);
         let mut keep = Bdd::FALSE;
         for g in &p_groups {
             let rel = setup!(ctx.try_group_relation(&g.clone()));
-            let mut cyclic = false;
-            for &scc in &sccs {
-                let m = ctx.cur_to_primed();
-                let scc_primed = setup!(ctx.mgr().try_rename(scc, m));
-                let inside = setup!(ctx.mgr().try_and(rel, scc));
-                if setup!(ctx.mgr().try_intersects(inside, scc_primed)) {
-                    cyclic = true;
-                    break;
-                }
-            }
-            if cyclic {
+            if setup!(try_inside_some_scc(&mut ctx, rel, &sccs, &sccs_primed)) {
                 // The paper's preprocessing exits when a cycle transition
                 // has a groupmate in p|I (removal would change δ_p|I).
                 let src = setup!(ctx.try_group_source(g));
@@ -1000,12 +1049,77 @@ pub(crate) fn synthesize_checkpointed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use stsyn_bdd::Budget;
     use stsyn_protocol::action::Action;
     use stsyn_protocol::topology::{ProcessDecl, VarDecl};
     use stsyn_protocol::{ProcIdx, VarIdx};
 
+    thread_local! {
+        /// Schedule steps whose incremental state `check_incremental_state`
+        /// verified on this thread.
+        pub(super) static STEPS_CHECKED: Cell<usize> = const { Cell::new(0) };
+    }
+
     fn c() -> Expr {
         Expr::var(VarIdx(0))
+    }
+
+    /// Run `f` and return how many schedule steps it checked.
+    fn steps_checked(f: impl FnOnce()) -> usize {
+        let before = STEPS_CHECKED.with(Cell::get);
+        f();
+        STEPS_CHECKED.with(Cell::get) - before
+    }
+
+    #[test]
+    fn batched_commit_keeps_incremental_state_exact_on_every_case_study() {
+        let cases = [
+            ("coloring5", stsyn_cases::coloring(5)),
+            ("matching5", stsyn_cases::matching(5)),
+            ("token_ring4", stsyn_cases::token_ring(4, 3)),
+            ("two_ring", stsyn_cases::two_ring(2, 3)),
+            ("mis5", stsyn_cases::mis(5)),
+        ];
+        for (name, (p, i)) in cases {
+            let k = p.num_processes();
+            let steps = steps_checked(|| {
+                synthesize(&p, &i, &Options::default(), Schedule::identity(k))
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+            });
+            assert!(steps > 0, "{name}: no schedule step was checked");
+        }
+        // Symmetry mode commits whole orbits as one cluster.
+        let (p, i) = stsyn_cases::coloring(5);
+        let sym = crate::symmetry::Symmetry::ring_rotation(&p).unwrap();
+        let opts = Options { symmetry: Some(sym), ..Options::default() };
+        let steps = steps_checked(|| {
+            synthesize(&p, &i, &opts, Schedule::identity(5)).unwrap();
+        });
+        assert!(steps > 0);
+    }
+
+    #[test]
+    fn journal_replay_keeps_incremental_state_exact() {
+        // Crash a checkpointed matching run midway, then resume it: the
+        // resumed run replays journaled groups through the same batched
+        // commit before continuing live.
+        let (p, i) = stsyn_cases::matching(5);
+        let problem = crate::AddConvergence::new(p, i).unwrap();
+        let dir =
+            std::env::temp_dir().join(format!("stsyn-heuristic-replay-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let total = problem.synthesize(&Options::default()).unwrap().stats.bdd_ticks;
+        let crash = Options {
+            budget: Some(Budget::unlimited().with_fail_at_tick(total * 3 / 4)),
+            ..Options::default()
+        };
+        assert!(problem.synthesize_resumable(&crash, &dir).is_err(), "crash must fire");
+        let steps = steps_checked(|| {
+            problem.synthesize_resumable(&Options::default(), &dir).unwrap();
+        });
+        assert!(steps > 0);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     fn one_var(n: u32, actions: Vec<Action>) -> Protocol {

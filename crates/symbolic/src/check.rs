@@ -46,8 +46,7 @@ pub fn try_closure_holds(
     let map = ctx.cur_to_primed();
     let i_primed = ctx.mgr().try_rename(i, map)?;
     let not_i_primed = ctx.mgr().try_not(i_primed)?;
-    let from_i = ctx.mgr().try_and(relation, i)?;
-    Ok(ctx.mgr().try_and(from_i, not_i_primed)?.is_false())
+    Ok(!ctx.mgr().try_and_intersects(relation, i, not_i_primed)?)
 }
 
 /// Deadlock states outside `i`: `¬I ∧ ¬(∃s'. T)`.
@@ -155,8 +154,7 @@ pub fn try_closure_holds_parts(
     i: Bdd,
 ) -> Result<bool, BddError> {
     let img = ctx.try_img_parts(t, i)?;
-    let not_i = ctx.mgr().try_not(i)?;
-    Ok(ctx.mgr().try_and(img, not_i)?.is_false())
+    ctx.mgr().try_implies_holds(img, i)
 }
 
 /// Partitioned [`try_deadlock_states`] — identical witness BDD.
