@@ -1,5 +1,5 @@
-//! A fast, non-cryptographic hasher for the unique table and operation
-//! caches.
+//! A fast, non-cryptographic hasher for the unique table and the
+//! interning maps.
 //!
 //! The default `std` hasher (SipHash) is DoS-resistant but several times
 //! slower than necessary for the hot hash-consing path of a BDD package.

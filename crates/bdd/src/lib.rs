@@ -7,7 +7,8 @@
 //!
 //! * a hash-consed **unique table** guaranteeing canonicity (reduced ordered
 //!   BDDs — equality is pointer equality),
-//! * memoized boolean operations (`and`, `or`, `xor`, `not`, `ite`, ...),
+//! * memoized boolean operations (`and`, `or`, `xor`, `not`, `ite`, ...)
+//!   sharing one bounded, lossy **computed table** per manager,
 //! * **quantification** (`exists`, `forall`) and the fused **relational
 //!   product** `and_exists` used for image/preimage computation,
 //! * order-preserving **variable renaming** (current-state ↔ next-state),
@@ -55,6 +56,7 @@
 #![warn(missing_docs)]
 
 mod budget;
+mod cache;
 mod dot;
 mod explore;
 mod hash;

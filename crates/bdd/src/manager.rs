@@ -1,7 +1,8 @@
 //! The BDD manager: node arena, hash-consing unique table, variable
 //! allocation, and mark-and-sweep garbage collection.
 
-use crate::hash::{FxHashMap, FxHashSet};
+use crate::cache::ComputedTable;
+use crate::hash::FxHashMap;
 use stsyn_obs::{Json, TraceLevel, Tracer};
 
 /// A BDD variable, identified by its *level* (position in the global
@@ -84,10 +85,12 @@ pub struct ManagerStats {
     pub gc_runs: usize,
     /// Number of boolean variables created.
     pub num_vars: usize,
-    /// Memoization-cache probes across all operation caches (apply/ITE/
-    /// not/exists/and-exists/rename) and the predicate memos (disjoint
-    /// pairs for `intersects`, disjoint triples for `and_intersects`,
-    /// valid pairs for `implies_holds`).
+    /// Probes of the computed table, the one lossy memo shared by every
+    /// cached operation (and/or/xor, not, ITE, exists, and-exists, rename)
+    /// and the predicates' negative answers (`intersects`,
+    /// `and_intersects`, `implies_holds`). A probe whose entry was
+    /// evicted misses and the work is redone, so these counts depend on
+    /// the table's size as well as on the operations asked for.
     pub cache_lookups: u64,
     /// Probes that hit (the paper's workloads live or die by this rate).
     pub cache_hits: u64,
@@ -102,14 +105,6 @@ impl ManagerStats {
             self.cache_hits as f64 / self.cache_lookups as f64
         }
     }
-}
-
-/// Tags for the memoized binary operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum BinOp {
-    And,
-    Or,
-    Xor,
 }
 
 /// The owner of all BDD nodes: allocates variables, hash-conses nodes, and
@@ -130,21 +125,9 @@ pub struct Manager {
     /// a reorder (their cached level information would be stale).
     pub(crate) order_generation: u32,
 
-    // Operation caches (cleared on GC).
-    pub(crate) bin_cache: FxHashMap<(BinOp, u32, u32), u32>,
-    pub(crate) not_cache: FxHashMap<u32, u32>,
-    pub(crate) ite_cache: FxHashMap<(u32, u32, u32), u32>,
-    pub(crate) exists_cache: FxHashMap<(u32, u32), u32>,
-    pub(crate) and_exists_cache: FxHashMap<(u32, u32, u32), u32>,
-    pub(crate) rename_cache: FxHashMap<(u32, u32), u32>,
-    // Predicate memos hold negative answers only (cleared with the caches
-    // above: GC recycles slots, so a stale entry would answer wrongly).
-    /// Pairs `(f, g)`, `f < g`, with `f ∧ g = ∅`.
-    pub(crate) disjoint_memo: FxHashSet<(u32, u32)>,
-    /// Sorted triples `(f, g, h)` with `f ∧ g ∧ h = ∅`.
-    pub(crate) disjoint3_memo: FxHashSet<(u32, u32, u32)>,
-    /// Pairs `(f, g)` with `f ⇒ g` valid.
-    pub(crate) implies_memo: FxHashSet<(u32, u32)>,
+    /// The computed table of every cached operation (cleared on GC and
+    /// reorder: recycled slots or moved levels would make entries stale).
+    pub(crate) cache: ComputedTable,
 
     // Interned variable sets / rename maps (survive GC).
     pub(crate) varsets: Vec<Vec<u32>>,
@@ -154,8 +137,6 @@ pub struct Manager {
 
     gc_runs: usize,
     peak_live: usize,
-    pub(crate) cache_lookups: u64,
-    pub(crate) cache_hits: u64,
     pub(crate) tracer: Tracer,
 
     // Resource budget, registered persistent roots and interleaved
@@ -186,23 +167,13 @@ impl Manager {
             perm: Vec::new(),
             invperm: Vec::new(),
             order_generation: 0,
-            bin_cache: FxHashMap::default(),
-            not_cache: FxHashMap::default(),
-            ite_cache: FxHashMap::default(),
-            exists_cache: FxHashMap::default(),
-            and_exists_cache: FxHashMap::default(),
-            rename_cache: FxHashMap::default(),
-            disjoint_memo: FxHashSet::default(),
-            disjoint3_memo: FxHashSet::default(),
-            implies_memo: FxHashSet::default(),
+            cache: ComputedTable::new(),
             varsets: Vec::new(),
             varset_ids: FxHashMap::default(),
             renames: Vec::new(),
             rename_ids: FxHashMap::default(),
             gc_runs: 0,
             peak_live: 2,
-            cache_lookups: 0,
-            cache_hits: 0,
             tracer: Tracer::disabled(),
             budget: crate::budget::BudgetState::default(),
             gc_roots: Vec::new(),
@@ -316,6 +287,7 @@ impl Manager {
         let live = self.live_nodes();
         if live > self.peak_live {
             self.peak_live = live;
+            self.cache.fit(live);
         }
         Bdd(idx)
     }
@@ -368,6 +340,12 @@ impl Manager {
         self.nodes.len() - self.free.len()
     }
 
+    /// Slots in the computed table: 2^12 at first, then the largest
+    /// power of two not above peak live nodes, up to 2^20.
+    pub fn cache_slots(&self) -> usize {
+        self.cache.len()
+    }
+
     /// Current statistics snapshot.
     pub fn stats(&self) -> ManagerStats {
         ManagerStats {
@@ -376,8 +354,8 @@ impl Manager {
             peak_live_nodes: self.peak_live,
             gc_runs: self.gc_runs,
             num_vars: self.num_vars as usize,
-            cache_lookups: self.cache_lookups,
-            cache_hits: self.cache_hits,
+            cache_lookups: self.cache.lookups,
+            cache_hits: self.cache.hits,
         }
     }
 
@@ -401,16 +379,17 @@ impl Manager {
     /// gauges take the maximum.
     pub fn adopt_counters(&mut self, prior: &ManagerStats) {
         self.gc_runs += prior.gc_runs;
-        self.cache_lookups += prior.cache_lookups;
-        self.cache_hits += prior.cache_hits;
+        self.cache.lookups += prior.cache_lookups;
+        self.cache.hits += prior.cache_hits;
         self.peak_live = self.peak_live.max(prior.peak_live_nodes);
+        self.cache.fit(self.peak_live);
     }
 
     /// Mark-and-sweep garbage collection.
     ///
     /// Everything reachable from `roots` survives; every other node's slot
     /// is recycled through a free list, so **surviving handles remain
-    /// valid** (no compaction). All operation caches are dropped. Returns
+    /// valid** (no compaction). The computed table is cleared. Returns
     /// the number of freed nodes.
     pub fn gc(&mut self, roots: &[Bdd]) -> usize {
         let cap = self.nodes.len();
@@ -449,7 +428,7 @@ impl Manager {
                 self.free.push(idx as u32);
             }
         }
-        self.clear_op_caches();
+        self.cache.clear();
         self.gc_runs += 1;
         if self.tracer.level_enabled(TraceLevel::Info) {
             self.tracer.info(

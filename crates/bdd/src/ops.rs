@@ -10,7 +10,8 @@
 //! exhausted (budgeted callers must use `try_*`).
 
 use crate::budget::{expect_budget, BddError};
-use crate::manager::{Bdd, BinOp, Manager};
+use crate::cache::Op;
+use crate::manager::{Bdd, Manager};
 
 impl Manager {
     /// Negation `¬f`.
@@ -28,16 +29,14 @@ impl Manager {
         if f.is_true() {
             return Ok(Bdd::FALSE);
         }
-        self.cache_lookups += 1;
-        if let Some(&r) = self.not_cache.get(&f.0) {
-            self.cache_hits += 1;
+        if let Some(r) = self.cache.get(Op::Not, f.0, 0, 0) {
             return Ok(Bdd(r));
         }
         let n = self.node(f);
         let lo = self.try_not(Bdd(n.lo))?;
         let hi = self.try_not(Bdd(n.hi))?;
         let r = self.mk(n.var, lo, hi);
-        self.not_cache.insert(f.0, r.0);
+        self.cache.put(Op::Not, f.0, 0, 0, r.0);
         Ok(r)
     }
 
@@ -49,7 +48,7 @@ impl Manager {
     /// Fallible conjunction `f ∧ g`.
     #[must_use = "a budget violation is reported through the Result"]
     pub fn try_and(&mut self, f: Bdd, g: Bdd) -> Result<Bdd, BddError> {
-        self.apply_bin(BinOp::And, f, g)
+        self.apply_bin(Op::And, f, g)
     }
 
     /// Disjunction `f ∨ g`.
@@ -60,7 +59,7 @@ impl Manager {
     /// Fallible disjunction `f ∨ g`.
     #[must_use = "a budget violation is reported through the Result"]
     pub fn try_or(&mut self, f: Bdd, g: Bdd) -> Result<Bdd, BddError> {
-        self.apply_bin(BinOp::Or, f, g)
+        self.apply_bin(Op::Or, f, g)
     }
 
     /// Exclusive or `f ⊕ g`.
@@ -71,7 +70,7 @@ impl Manager {
     /// Fallible exclusive or `f ⊕ g`.
     #[must_use = "a budget violation is reported through the Result"]
     pub fn try_xor(&mut self, f: Bdd, g: Bdd) -> Result<Bdd, BddError> {
-        self.apply_bin(BinOp::Xor, f, g)
+        self.apply_bin(Op::Xor, f, g)
     }
 
     /// Implication `f ⇒ g`, i.e. `¬f ∨ g`.
@@ -177,10 +176,7 @@ impl Manager {
         if f == h {
             return self.try_and(f, g); // ite(f,g,f) = f ∧ g
         }
-        let key = (f.0, g.0, h.0);
-        self.cache_lookups += 1;
-        if let Some(&r) = self.ite_cache.get(&key) {
-            self.cache_hits += 1;
+        if let Some(r) = self.cache.get(Op::Ite, f.0, g.0, h.0) {
             return Ok(Bdd(r));
         }
         let top = self.level(f).min(self.level(g)).min(self.level(h));
@@ -190,7 +186,7 @@ impl Manager {
         let lo = self.try_ite(f0, g0, h0)?;
         let hi = self.try_ite(f1, g1, h1)?;
         let r = self.mk_level(top, lo, hi);
-        self.ite_cache.insert(key, r.0);
+        self.cache.put(Op::Ite, f.0, g.0, h.0, r.0);
         Ok(r)
     }
 
@@ -213,9 +209,7 @@ impl Manager {
         if f.is_true() || g.is_false() {
             return Ok(false);
         }
-        self.cache_lookups += 1;
-        if self.implies_memo.contains(&(f.0, g.0)) {
-            self.cache_hits += 1;
+        if self.cache.get(Op::Implies, f.0, g.0, 0).is_some() {
             return Ok(true);
         }
         let top = self.level(f).min(self.level(g));
@@ -224,7 +218,7 @@ impl Manager {
         if !self.try_implies_holds(f0, g0)? || !self.try_implies_holds(f1, g1)? {
             return Ok(false);
         }
-        self.implies_memo.insert((f.0, g.0));
+        self.cache.put(Op::Implies, f.0, g.0, 0, 0);
         Ok(true)
     }
 
@@ -250,9 +244,7 @@ impl Manager {
         if f.0 > g.0 {
             std::mem::swap(&mut f, &mut g);
         }
-        self.cache_lookups += 1;
-        if self.disjoint_memo.contains(&(f.0, g.0)) {
-            self.cache_hits += 1;
+        if self.cache.get(Op::Disjoint, f.0, g.0, 0).is_some() {
             return Ok(false);
         }
         let top = self.level(f).min(self.level(g));
@@ -261,7 +253,7 @@ impl Manager {
         if self.try_intersects(f0, g0)? || self.try_intersects(f1, g1)? {
             return Ok(true);
         }
-        self.disjoint_memo.insert((f.0, g.0));
+        self.cache.put(Op::Disjoint, f.0, g.0, 0, 0);
         Ok(false)
     }
 
@@ -291,9 +283,7 @@ impl Manager {
             return self.try_intersects(a, b);
         }
         self.tick()?;
-        self.cache_lookups += 1;
-        if self.disjoint3_memo.contains(&(a.0, b.0, c.0)) {
-            self.cache_hits += 1;
+        if self.cache.get(Op::Disjoint3, a.0, b.0, c.0).is_some() {
             return Ok(false);
         }
         let top = self.level(a).min(self.level(b)).min(self.level(c));
@@ -303,7 +293,7 @@ impl Manager {
         if self.try_and_intersects(a0, b0, c0)? || self.try_and_intersects(a1, b1, c1)? {
             return Ok(true);
         }
-        self.disjoint3_memo.insert((a.0, b.0, c.0));
+        self.cache.put(Op::Disjoint3, a.0, b.0, c.0, 0);
         Ok(false)
     }
 
@@ -319,11 +309,11 @@ impl Manager {
         }
     }
 
-    fn apply_bin(&mut self, op: BinOp, mut f: Bdd, mut g: Bdd) -> Result<Bdd, BddError> {
+    fn apply_bin(&mut self, op: Op, mut f: Bdd, mut g: Bdd) -> Result<Bdd, BddError> {
         self.tick()?;
         // Terminal cases per operator.
         match op {
-            BinOp::And => {
+            Op::And => {
                 if f.is_false() || g.is_false() {
                     return Ok(Bdd::FALSE);
                 }
@@ -337,7 +327,7 @@ impl Manager {
                     return Ok(f);
                 }
             }
-            BinOp::Or => {
+            Op::Or => {
                 if f.is_true() || g.is_true() {
                     return Ok(Bdd::TRUE);
                 }
@@ -351,7 +341,7 @@ impl Manager {
                     return Ok(f);
                 }
             }
-            BinOp::Xor => {
+            Op::Xor => {
                 if f == g {
                     return Ok(Bdd::FALSE);
                 }
@@ -368,15 +358,13 @@ impl Manager {
                     return self.try_not(f);
                 }
             }
+            _ => unreachable!("apply_bin takes and, or or xor"),
         }
         // All three operators are commutative: normalize the cache key.
         if f.0 > g.0 {
             std::mem::swap(&mut f, &mut g);
         }
-        let key = (op, f.0, g.0);
-        self.cache_lookups += 1;
-        if let Some(&r) = self.bin_cache.get(&key) {
-            self.cache_hits += 1;
+        if let Some(r) = self.cache.get(op, f.0, g.0, 0) {
             return Ok(Bdd(r));
         }
         let top = self.level(f).min(self.level(g));
@@ -385,7 +373,7 @@ impl Manager {
         let lo = self.apply_bin(op, f0, g0)?;
         let hi = self.apply_bin(op, f1, g1)?;
         let r = self.mk_level(top, lo, hi);
-        self.bin_cache.insert(key, r.0);
+        self.cache.put(op, f.0, g.0, 0, r.0);
         Ok(r)
     }
 }

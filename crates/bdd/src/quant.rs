@@ -5,6 +5,7 @@
 //! symbolic image/preimage computation (CUDD calls it `bddAndAbstract`).
 
 use crate::budget::{expect_budget, BddError};
+use crate::cache::Op;
 use crate::manager::{Bdd, Manager};
 use crate::varset::VarSetId;
 
@@ -102,10 +103,7 @@ impl Manager {
         if cursor == levels.len() {
             return Ok(f); // no quantified variable occurs in f
         }
-        let key = (f.0, vars.idx);
-        self.cache_lookups += 1;
-        if let Some(&r) = self.exists_cache.get(&key) {
-            self.cache_hits += 1;
+        if let Some(r) = self.cache.get(Op::Exists, f.0, vars.idx, 0) {
             return Ok(Bdd(r));
         }
         let quantify_here = self.varsets[vars.idx as usize][cursor] == top;
@@ -123,7 +121,7 @@ impl Manager {
             let hi = self.exists_rec(Bdd(n.hi), vars, cursor)?;
             self.mk_level(top, lo, hi)
         };
-        self.exists_cache.insert(key, r.0);
+        self.cache.put(Op::Exists, f.0, vars.idx, 0, r.0);
         Ok(r)
     }
 
@@ -159,10 +157,7 @@ impl Manager {
                 return self.try_and(f, g);
             }
         }
-        let key = (f.0, g.0, vars.idx);
-        self.cache_lookups += 1;
-        if let Some(&r) = self.and_exists_cache.get(&key) {
-            self.cache_hits += 1;
+        if let Some(r) = self.cache.get(Op::AndExists, f.0, g.0, vars.idx) {
             return Ok(Bdd(r));
         }
         let quantify_here = self.varsets[vars.idx as usize][cursor] == top;
@@ -181,7 +176,7 @@ impl Manager {
             let hi = self.and_exists_rec(f1, g1, vars, cursor)?;
             self.mk_level(top, lo, hi)
         };
-        self.and_exists_cache.insert(key, r.0);
+        self.cache.put(Op::AndExists, f.0, g.0, vars.idx, r.0);
         Ok(r)
     }
 }

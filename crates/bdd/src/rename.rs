@@ -8,6 +8,7 @@
 //! linear-time structural recursion; no general (exponential-in-the-worst-
 //! case) substitution is needed.
 
+use crate::cache::Op;
 use crate::manager::{Bdd, Manager, VarId};
 
 /// Identity of an interned rename map (a partial variable map that is
@@ -90,10 +91,7 @@ impl Manager {
         if f.is_const() {
             return Ok(f);
         }
-        let key = (f.0, map.idx);
-        self.cache_lookups += 1;
-        if let Some(&r) = self.rename_cache.get(&key) {
-            self.cache_hits += 1;
+        if let Some(r) = self.cache.get(Op::Rename, f.0, map.idx, 0) {
             return Ok(Bdd(r));
         }
         let n = self.node(f);
@@ -105,7 +103,7 @@ impl Manager {
             Err(_) => n.var,
         };
         let r = self.mk(new_var, lo, hi);
-        self.rename_cache.insert(key, r.0);
+        self.cache.put(Op::Rename, f.0, map.idx, 0, r.0);
         Ok(r)
     }
 }

@@ -100,7 +100,7 @@ impl Manager {
         // rename ids would be stale; conservative flush. (Pure node-index
         // caches — and/or/not/ite — remain valid because node functions
         // are preserved, but we flush everything for simplicity.)
-        self.clear_op_caches();
+        self.cache.clear();
         self.unique.len() as isize - before
     }
 
@@ -134,7 +134,7 @@ impl Manager {
         self.varset_ids.clear();
         self.renames.clear();
         self.rename_ids.clear();
-        self.clear_op_caches();
+        self.cache.clear();
         self.gc(roots);
         let after = self.node_count_many(roots);
         self.trace_reorder("sift", before, after);
@@ -243,7 +243,7 @@ impl Manager {
         for (idx, levels) in self.varsets.iter().enumerate() {
             self.varset_ids.insert(levels.clone(), idx as u32);
         }
-        self.clear_op_caches();
+        self.cache.clear();
         self.gc(roots);
         let after = self.node_count_many(roots);
         self.trace_reorder("sift_pairs", before, after);
@@ -330,21 +330,9 @@ impl Manager {
         self.varset_ids.clear();
         self.renames.clear();
         self.rename_ids.clear();
-        self.clear_op_caches();
+        self.cache.clear();
         self.gc(roots);
         debug_assert_eq!(self.current_order(), target);
-    }
-
-    pub(crate) fn clear_op_caches(&mut self) {
-        self.bin_cache.clear();
-        self.not_cache.clear();
-        self.ite_cache.clear();
-        self.exists_cache.clear();
-        self.and_exists_cache.clear();
-        self.rename_cache.clear();
-        self.disjoint_memo.clear();
-        self.disjoint3_memo.clear();
-        self.implies_memo.clear();
     }
 
     /// The current variable order, top to bottom (for diagnostics).

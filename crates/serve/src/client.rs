@@ -15,7 +15,6 @@
 //! `quarantined`, ...) are never retried.
 
 use crate::chaos::XorShift64;
-use crate::json::Json;
 use crate::server::ShutdownMode;
 use crate::wire::SubmitSpec;
 use std::fmt;
@@ -23,6 +22,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+use stsyn_obs::Json;
 
 /// Why a client call failed.
 #[derive(Debug, Clone)]

@@ -62,7 +62,6 @@
 
 pub mod chaos;
 pub mod client;
-pub mod json;
 pub mod queue;
 pub mod router;
 pub mod server;
@@ -70,8 +69,8 @@ pub mod wire;
 
 pub use chaos::{ChaosProxy, Direction, Fault, FaultPlan, LinkMode, LinkProxy, XorShift64};
 pub use client::{Client, ClientError, RetryPolicy, WatchFrame};
-pub use json::Json;
 pub use queue::{PriorityQueue, PushError};
 pub use router::{HashRing, Router, RouterConfig, RouterHandle, ShardHealth};
 pub use server::{Server, ServerConfig, ServerHandle, ShutdownMode};
+pub use stsyn_obs::Json;
 pub use wire::{ChaosJob, JobSource, SubmitSpec};

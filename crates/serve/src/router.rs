@@ -64,7 +64,6 @@
 //! [`crate::wire::CODE_NO_SHARDS`]. Both map to CLI exit code 8.
 
 use crate::client::{Client, ClientError, RetryPolicy};
-use crate::json::Json;
 use crate::wire::{
     error_json, fold_idem, read_line_bounded, SubmitSpec, CODE_DEGRADED, CODE_NO_SHARDS,
     MAX_REQUEST_BYTES,
@@ -76,7 +75,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use stsyn_obs::{HistogramSnapshot, MetricsText, Tracer};
+use stsyn_obs::{HistogramSnapshot, Json, MetricsText, Tracer};
 
 /// splitmix64 finalizer: a bijective avalanche mix, so distinct inputs
 /// give distinct ring points and key hashes spread uniformly.

@@ -54,7 +54,6 @@
 //!   a final checkpoint, exit. Both leave the state directory ready for
 //!   the next daemon.
 
-use crate::json::Json;
 use crate::queue::{PriorityQueue, PushError};
 use crate::wire::{error_json, read_line_bounded, ChaosJob, SubmitSpec, MAX_REQUEST_BYTES};
 use std::collections::HashMap;
@@ -67,7 +66,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use stsyn_core::job::{JobCheckpoint, JobError, JobMode};
 use stsyn_core::SynthesisError;
-use stsyn_obs::{LatencyHistogram, MetricsText, Progress, ProgressBus, Tracer};
+use stsyn_obs::{Json, LatencyHistogram, MetricsText, Progress, ProgressBus, Tracer};
 use stsyn_store::Store;
 use stsyn_symbolic::Resource;
 
@@ -600,7 +599,9 @@ fn recover_jobs(shared: &Shared) -> io::Result<()> {
     Ok(())
 }
 
-/// Atomically persist a JSON document (temp file + rename + fsync).
+/// Atomically and durably persist a JSON document: temp file, fsync,
+/// rename, fsync the directory (without the last step a power failure
+/// can undo the rename after the caller has acknowledged the write).
 fn write_json_atomic(path: &Path, value: &Json) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
@@ -609,7 +610,11 @@ fn write_json_atomic(path: &Path, value: &Json) -> io::Result<()> {
         f.write_all(b"\n")?;
         f.sync_all()?;
     }
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path)?;
+    match path.parent() {
+        Some(dir) => std::fs::File::open(dir)?.sync_all(),
+        None => Ok(()),
+    }
 }
 
 /// Append one fsync'd line to the job's attempt ledger.

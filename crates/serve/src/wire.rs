@@ -10,9 +10,9 @@
 //! library-level [`stsyn_core::job::JobSpec`] entry point (the service
 //! never shells out to the CLI).
 
-use crate::json::Json;
 use std::io::{self, BufRead, Read};
 use stsyn_core::job::{JobMode, JobSpec};
+use stsyn_obs::Json;
 use stsyn_symbolic::{Budget, Engine};
 
 /// Hard cap on one request line (framing bound, checked before parsing).

@@ -160,22 +160,15 @@ pub fn try_scc_decomposition(
     // non-trivial SCC, and trimming is cheap. This mirrors the "restrict
     // attention to the cyclic core" optimization in symbolic SCC practice.
     let core = trim(ctx, relation, x)?;
+    // Each algorithm drops the trivial SCCs (a single state without a
+    // self-loop) as it finds them.
     let mut iters = 0usize;
-    let mut keep = Vec::new();
-    if !core.is_false() {
-        let mut all = match algorithm {
-            SccAlgorithm::Skeleton => skeleton_sccs(ctx, relation, core, &mut iters)?,
-            SccAlgorithm::Lockstep => lockstep_sccs(ctx, relation, core, &mut iters)?,
-            SccAlgorithm::XieBeerel => xie_beerel_sccs(ctx, relation, core, &mut iters)?,
-        };
-        keep.reserve(all.len());
-        for scc in all.drain(..) {
-            let internal = ctx.try_restrict_relation(relation, scc)?;
-            if !internal.is_false() {
-                keep.push(scc);
-            }
-        }
-    }
+    let keep = match algorithm {
+        _ if core.is_false() => Vec::new(),
+        SccAlgorithm::Skeleton => skeleton_sccs(ctx, relation, core, &mut iters)?,
+        SccAlgorithm::Lockstep => lockstep_sccs(ctx, relation, core, &mut iters)?,
+        SccAlgorithm::XieBeerel => xie_beerel_sccs(ctx, relation, core, &mut iters)?,
+    };
     if ctx.mgr_ref().tracer().level_enabled(TraceLevel::Info) {
         let nodes: usize = keep.iter().map(|&s| ctx.mgr_ref().node_count(s)).sum();
         ctx.mgr_ref().tracer().info(
@@ -205,6 +198,22 @@ fn trim(ctx: &mut SymbolicContext, relation: Bdd, x: Bdd) -> Result<Bdd, BddErro
 fn pick_singleton(ctx: &mut SymbolicContext, set: Bdd) -> Result<Bdd, BddError> {
     let state = ctx.pick_state(set).expect("pick from empty set");
     ctx.try_singleton(&state)
+}
+
+/// Is the SCC of the single-state `pivot` non-trivial, i.e. does it hold
+/// a transition? It does iff it holds more than the pivot (two mutually
+/// reachable states lie on a cycle) or the pivot has a self-loop.
+fn is_nontrivial(
+    ctx: &mut SymbolicContext,
+    relation: Bdd,
+    scc: Bdd,
+    pivot: Bdd,
+) -> Result<bool, BddError> {
+    if scc != pivot {
+        return Ok(true);
+    }
+    let preds = ctx.try_pre(relation, pivot)?;
+    ctx.mgr().try_intersects(preds, pivot)
 }
 
 // --- Gentilini–Piazza–Policriti skeleton algorithm -----------------------
@@ -243,7 +252,8 @@ fn skel_forward(
     Ok((fw, new_s, new_n))
 }
 
-/// SCC-Find with skeletons, iterative via an explicit worklist.
+/// SCC-Find with skeletons, iterative via an explicit worklist; returns
+/// the non-trivial SCCs only.
 fn skeleton_sccs(
     ctx: &mut SymbolicContext,
     relation: Bdd,
@@ -261,18 +271,22 @@ fn skeleton_sccs(
         }
         let pivot = if s.is_false() { pick_singleton(ctx, v)? } else { pick_singleton(ctx, n)? };
         let (fw, new_s, new_n) = skel_forward(ctx, relation, v, pivot)?;
-        // SCC(pivot) = backward closure of pivot inside FW.
+        // SCC(pivot) = backward closure of pivot inside FW. The closure
+        // stops on `preds = pre(SCC)`, so the SCC holds a transition iff
+        // it meets its own preimage.
         let mut scc = pivot;
         loop {
             let preds = ctx.try_pre(relation, scc)?;
             let in_fw = ctx.mgr().try_and(preds, fw)?;
             let grown = ctx.mgr().try_or(scc, in_fw)?;
             if grown == scc {
+                if ctx.mgr().try_intersects(preds, scc)? {
+                    out.push(scc);
+                }
                 break;
             }
             scc = grown;
         }
-        out.push(scc);
         let not_scc = ctx.mgr().try_not(scc)?;
         // Recursion 1: V ∖ FW with the surviving prefix of the old path.
         let not_fw = ctx.mgr().try_not(fw)?;
@@ -351,7 +365,9 @@ fn lockstep_sccs(
             other = ctx.mgr().try_or(other, other_front)?;
         }
         let scc = ctx.mgr().try_and(converged, other)?;
-        out.push(scc);
+        if is_nontrivial(ctx, relation, scc, pivot)? {
+            out.push(scc);
+        }
         let not_scc = ctx.mgr().try_not(scc)?;
         let rest_inside = ctx.mgr().try_and(converged, not_scc)?;
         let not_conv = ctx.mgr().try_not(converged)?;
@@ -381,7 +397,9 @@ fn xie_beerel_sccs(
         let fw = closure_within(ctx, relation, v, pivot, true)?;
         let bw = closure_within(ctx, relation, v, pivot, false)?;
         let scc = ctx.mgr().try_and(fw, bw)?;
-        out.push(scc);
+        if is_nontrivial(ctx, relation, scc, pivot)? {
+            out.push(scc);
+        }
         let not_scc = ctx.mgr().try_not(scc)?;
         let f_rest = ctx.mgr().try_and(fw, not_scc)?;
         let b_rest = ctx.mgr().try_and(bw, not_scc)?;
